@@ -1,6 +1,8 @@
 package ig
 
 import (
+	"math/bits"
+
 	"npra/internal/bitset"
 	"npra/internal/ir"
 	"npra/internal/liveness"
@@ -48,6 +50,25 @@ type Analysis struct {
 	// once here lets cost evaluation after a split touch only the
 	// variables the split changed instead of re-walking every edge.
 	VarEdges [][]int32
+
+	// NumSlots counts the live (var, point) pairs. Slot numbers them
+	// densely, v's live points taking consecutive slots in ascending
+	// point order, so that tables indexed by slot skip the points where
+	// a variable is dead.
+	NumSlots int
+
+	// SlotEdges[v] is VarEdges[v] with every point replaced by its slot.
+	SlotEdges [][]int32
+
+	slotW    int        // words per point set
+	slotRank []rankWord // [v*slotW+w]: Slot's rank table
+}
+
+// rankWord is word w of a variable's live point set together with the
+// slot of the first live point in that word.
+type rankWord struct {
+	live  uint64
+	first int32
 }
 
 // Analyze runs liveness, NSR construction and interference-graph building
@@ -85,21 +106,55 @@ func analyzeWith(f *ir.Func, live *liveness.Info, regions *nsr.Info) *Analysis {
 			a.Regions[v].Add(r)
 		}
 	}
-	// Per-variable flow edges (see the VarEdges field comment).
-	a.VarEdges = make([][]int32, nv)
+	// Live-slot numbering (see the NumSlots field comment).
+	a.slotW = (np + 63) / 64
+	a.slotRank = make([]rankWord, nv*a.slotW)
+	next := int32(0)
+	for v := 0; v < nv; v++ {
+		for w, word := range a.Points[v] {
+			a.slotRank[v*a.slotW+w] = rankWord{live: word, first: next}
+			next += int32(bits.OnesCount64(word))
+		}
+	}
+	a.NumSlots = int(next)
+	// Per-variable flow edges (see the VarEdges field comment) and their
+	// slot pairs. A counting sweep sizes every list first, so each kind
+	// is cut from one exactly sized array.
 	var succs []int
-	for p := 0; p < np; p++ {
-		succs = f.PointSuccs(p, succs[:0])
-		out := live.Out[p]
-		for _, q := range succs {
-			in := live.In[q]
-			for v := out.NextSet(0); v >= 0; v = out.NextSet(v + 1) {
-				if in.Has(v) {
-					a.VarEdges[v] = append(a.VarEdges[v], int32(p), int32(q))
+	sweep := func(visit func(v, p, q int)) {
+		for p := 0; p < np; p++ {
+			succs = f.PointSuccs(p, succs[:0])
+			out := live.Out[p]
+			for _, q := range succs {
+				in := live.In[q]
+				for v := out.NextSet(0); v >= 0; v = out.NextSet(v + 1) {
+					if in.Has(v) {
+						visit(v, p, q)
+					}
 				}
 			}
 		}
 	}
+	end := make([]int, nv+1) // v's lists span [end[v], end[v+1])
+	sweep(func(v, _, _ int) { end[v+1] += 2 })
+	for v := 0; v < nv; v++ {
+		end[v+1] += end[v]
+	}
+	pts, slots := make([]int32, end[nv]), make([]int32, end[nv])
+	a.VarEdges, a.SlotEdges = make([][]int32, nv), make([][]int32, nv)
+	for v := 0; v < nv; v++ {
+		a.VarEdges[v] = pts[end[v]:end[v]:end[v+1]]
+		a.SlotEdges[v] = slots[end[v]:end[v]:end[v+1]]
+	}
+	sweep(func(v, p, q int) {
+		sp := a.Slot(v, p)
+		sq := sp + 1 // a fallthrough q is v's next live point
+		if q != p+1 {
+			sq = a.Slot(v, q)
+		}
+		a.VarEdges[v] = append(a.VarEdges[v], int32(p), int32(q))
+		a.SlotEdges[v] = append(a.SlotEdges[v], int32(sp), int32(sq))
+	})
 	for _, p := range regions.CSBs {
 		across, err := live.LiveAcross(p)
 		if err != nil {
@@ -130,6 +185,27 @@ func analyzeWith(f *ir.Func, live *liveness.Info, regions *nsr.Info) *Analysis {
 		})
 	}
 	return a
+}
+
+// Slot returns the slot of the (v, p) pair (see NumSlots), or -1 when v
+// is not live at p.
+func (a *Analysis) Slot(v, p int) int {
+	r := a.slotRank[v*a.slotW+p>>6]
+	bit := uint64(1) << (uint(p) & 63)
+	if r.live&bit == 0 {
+		return -1
+	}
+	return int(r.first) + bits.OnesCount64(r.live&(bit-1))
+}
+
+// SlotBytes estimates the memory the slot numbering holds: the rank
+// table behind Slot plus SlotEdges.
+func (a *Analysis) SlotBytes() int64 {
+	n := int64(len(a.slotRank)) * 16
+	for _, e := range a.SlotEdges {
+		n += int64(len(e))*4 + 24 // elements + slice header
+	}
+	return n
 }
 
 // InternalNodes returns the set of live internal (non-boundary) nodes.

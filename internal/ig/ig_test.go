@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"npra/internal/bench"
 	"npra/internal/ir"
 )
 
@@ -261,6 +262,48 @@ func TestEdgesAndReset(t *testing.T) {
 			if g.HasEdge(u, v) != fresh.HasEdge(u, v) {
 				t.Fatalf("rebuilt/fresh disagree on edge (%d,%d)", u, v)
 			}
+		}
+	}
+}
+
+// TestSlotNumbering checks the live-slot numbering on a one-word and a
+// multi-word function: Slot maps the live (var, point) pairs one-to-one
+// onto [0, NumSlots), in ascending point order per variable, returns -1
+// everywhere else, and SlotEdges is VarEdges translated pair by pair.
+func TestSlotNumbering(t *testing.T) {
+	md5, err := bench.Get("md5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := md5.Gen(4)
+	if wide.NumPoints() <= 64 {
+		t.Fatalf("md5 has %d points: too few for multi-word rank rows", wide.NumPoints())
+	}
+	for _, f := range []*ir.Func{ir.MustParse(checksum), wide} {
+		a := Analyze(f)
+		next := 0
+		for v := 0; v < a.NumVars; v++ {
+			for p := 0; p < f.NumPoints(); p++ {
+				got := a.Slot(v, p)
+				if !a.Points[v].Has(p) {
+					if got != -1 {
+						t.Fatalf("%s: Slot(v%d, %d) = %d off the live range, want -1", f.Name, v, p, got)
+					}
+					continue
+				}
+				if got != next {
+					t.Fatalf("%s: Slot(v%d, %d) = %d, want %d", f.Name, v, p, got, next)
+				}
+				next++
+			}
+			for k, p := range a.VarEdges[v] {
+				if got, want := a.SlotEdges[v][k], int32(a.Slot(v, int(p))); got != want {
+					t.Fatalf("%s: SlotEdges[v%d][%d] = %d, want %d", f.Name, v, k, got, want)
+				}
+			}
+		}
+		if next != a.NumSlots {
+			t.Errorf("%s: %d live pairs, NumSlots = %d", f.Name, next, a.NumSlots)
 		}
 	}
 }

@@ -156,23 +156,37 @@ func (al *Allocator) HasSolved(pr, sr int) bool {
 }
 
 // Footprint estimates the allocator's retained memory in bytes: the
-// memoized context chain dominates (pieceOf/occ index arrays plus piece
-// point sets per context). It is an accounting estimate for cache
-// bounds and metrics, not an exact measurement.
+// memoized context chain dominates (per context: the slot-indexed
+// pieceOf, the occ rows, the per-color point sets and the piece point
+// sets), plus the scratch pool and the analysis's slot tables, which
+// every context shares and which are counted once. It is an accounting
+// estimate for cache bounds and metrics, not an exact measurement.
 func (al *Allocator) Footprint() int64 {
 	var total int64
-	for _, ctx := range al.memo { //lint:ignore detlint commutative byte-count sum; order never observable
-		total += int64(len(ctx.pieceOf))*4 + int64(len(ctx.occ))*8
-		for _, p := range ctx.Pieces {
-			total += int64(len(p.Points))*8 + 32
-		}
+	for _, ctx := range al.memo {
+		total += ctx.footprint()
 	}
 	// Scratch pool contexts mirror the live chain tip's footprint.
 	if n := len(al.pool); n > 0 && len(al.memo) > 0 {
 		total += int64(n) * (total / int64(len(al.memo)))
 	}
+	total += al.A.SlotBytes()
 	total += int64(len(al.sols)+len(al.solErrs)) * 64
 	return total
+}
+
+// pieceBytes is a piece's fixed cost on 64-bit hosts: the Piece struct
+// (its allocation size class) plus its slot in Pieces.
+const pieceBytes = 48 + 8
+
+// footprint estimates one context's retained bytes, by the capacity of
+// its arrays.
+func (ctx *Context) footprint() int64 {
+	n := int64(cap(ctx.pieceOf))*4 + int64(cap(ctx.occ)+cap(ctx.colPts))*8
+	for _, p := range ctx.Pieces {
+		n += int64(cap(p.Points))*8 + pieceBytes
+	}
+	return n
 }
 
 // Absorb merges other's memo tables into al: contexts and Solve points

@@ -33,14 +33,22 @@ type Piece struct {
 // by pieces that cross context-switch boundaries ("private-capable");
 // colors [0, Size) by anything.
 //
-// Alongside the piece list the context maintains two derived structures
-// that make the hot recoloring queries word-level instead of
-// closure-per-point: occ, a per-point color-occupancy bitmap (bit c of
-// point p's row is set iff a piece covering p holds color c — well
-// defined because a proper coloring admits at most one such piece), and
-// byColor, the piece indices holding each color. Both are kept
-// incrementally by every mutation; rebuildPieceIndex restores them from
-// the piece list after wholesale restructuring.
+// Alongside the piece list the context maintains three derived indexes
+// that turn the hot recoloring queries into word-level operations:
+//
+//   - pieceOf answers "which piece holds v at p": one piece index per
+//     live (var, point) slot, numbered by ig.Analysis.Slot;
+//   - occ answers "which colors are taken at p": one color bitmask row
+//     per point (bit c of point p's row is set iff a piece covering p
+//     holds color c — well defined because a proper coloring admits at
+//     most one such piece);
+//   - colPts, occ transposed, answers "where is color c taken": one
+//     point set per palette color.
+//
+// occ and colPts hold colors, never piece indices, and occSet/occClear
+// keep the two in step on every mutation. pieceOf is written wherever a
+// piece gains points and renumbered by rebuildPieceIndex after coalesce
+// compacts the piece list.
 type Context struct {
 	A    *ig.Analysis
 	Cap  int // boundary palette size (≥ colors used by crossing pieces)
@@ -50,11 +58,12 @@ type Context struct {
 
 	np      int
 	occW    int      // words per occupancy row (fixed at chain root)
-	pieceOf []int32  // [var*np+point] -> piece index, -1 when not live
+	npW     int      // words per point set (a colPts row)
+	pieceOf []int32  // [slot] -> piece index covering that (var, point)
 	occ     []uint64 // np rows of occW words: color-occupancy per point
-	byColor [][]int32
-	cost    int     // cached MoveCost; -1 when dirty
-	weights []int64 // optional per-point loop weights (nil = static count)
+	colPts  []uint64 // Size rows of npW words: the points holding each color
+	cost    int      // cached MoveCost; -1 when dirty
+	weights []int64  // optional per-point loop weights (nil = static count)
 
 	// Incremental move-cost state. MoveCost is additive per variable
 	// (each CFG edge contribution involves exactly one variable), so a
@@ -88,16 +97,14 @@ func newContext(a *ig.Analysis, colors []int, cap, size int, weights []int64) *C
 	if occW == 0 {
 		occW = 1
 	}
+	npW := (np + 63) / 64
 	ctx := &Context{
-		A: a, Cap: cap, Size: size, np: np, occW: occW,
+		A: a, Cap: cap, Size: size, np: np, occW: occW, npW: npW,
 		cost: -1, baseCost: -1, weights: weights,
 	}
-	ctx.pieceOf = make([]int32, a.NumVars*np)
-	for i := range ctx.pieceOf {
-		ctx.pieceOf[i] = -1
-	}
+	ctx.pieceOf = make([]int32, a.NumSlots)
 	ctx.occ = make([]uint64, np*occW)
-	ctx.byColor = make([][]int32, size)
+	ctx.colPts = make([]uint64, size*npW)
 	ctx.dirtyIn = bitset.New(a.NumVars)
 	for v := 0; v < a.NumVars; v++ {
 		if !a.Alive[v] {
@@ -111,12 +118,10 @@ func newContext(a *ig.Analysis, colors []int, cap, size int, weights []int64) *C
 func (ctx *Context) addPiece(p *Piece) int {
 	idx := len(ctx.Pieces)
 	ctx.Pieces = append(ctx.Pieces, p)
-	base := p.Var * ctx.np
 	for pt := p.Points.NextSet(0); pt >= 0; pt = p.Points.NextSet(pt + 1) {
-		ctx.pieceOf[base+pt] = int32(idx)
+		ctx.pieceOf[ctx.A.Slot(p.Var, pt)] = int32(idx)
 		ctx.occSet(pt, p.Color)
 	}
-	ctx.byColor[p.Color] = append(ctx.byColor[p.Color], int32(idx))
 	ctx.cost = -1
 	return idx
 }
@@ -124,8 +129,21 @@ func (ctx *Context) addPiece(p *Piece) int {
 // occRow returns point p's color-occupancy row.
 func (ctx *Context) occRow(p int) []uint64 { return ctx.occ[p*ctx.occW : (p+1)*ctx.occW] }
 
-func (ctx *Context) occSet(p, c int)   { ctx.occ[p*ctx.occW+(c>>6)] |= 1 << (uint(c) & 63) }
-func (ctx *Context) occClear(p, c int) { ctx.occ[p*ctx.occW+(c>>6)] &^= 1 << (uint(c) & 63) }
+// colorPoints returns the set of points where color c is held.
+func (ctx *Context) colorPoints(c int) bitset.Set {
+	return ctx.colPts[c*ctx.npW : (c+1)*ctx.npW]
+}
+
+// occSet and occClear flip color c at point p in both occ and colPts.
+func (ctx *Context) occSet(p, c int) {
+	ctx.occ[p*ctx.occW+(c>>6)] |= 1 << (uint(c) & 63)
+	ctx.colPts[c*ctx.npW+(p>>6)] |= 1 << (uint(p) & 63)
+}
+
+func (ctx *Context) occClear(p, c int) {
+	ctx.occ[p*ctx.occW+(c>>6)] &^= 1 << (uint(c) & 63)
+	ctx.colPts[c*ctx.npW+(p>>6)] &^= 1 << (uint(p) & 63)
+}
 
 // wordMask returns the mask of colors [0, limit) that fall into word j of
 // an occupancy row.
@@ -141,16 +159,15 @@ func wordMask(j, limit int) uint64 {
 	}
 }
 
-// attach records piece i (with its current color) in occ and byColor.
+// attach records piece i (with its current color) in occ and colPts.
 func (ctx *Context) attach(i int) {
 	x := ctx.Pieces[i]
 	for p := x.Points.NextSet(0); p >= 0; p = x.Points.NextSet(p + 1) {
 		ctx.occSet(p, x.Color)
 	}
-	ctx.byColor[x.Color] = append(ctx.byColor[x.Color], int32(i))
 }
 
-// detach removes piece i from occ and byColor (pieceOf stays: the piece
+// detach removes piece i from occ and colPts (pieceOf stays: the piece
 // still owns its points, it is just invisible to occupancy queries while
 // being recolored).
 func (ctx *Context) detach(i int) {
@@ -158,22 +175,9 @@ func (ctx *Context) detach(i int) {
 	for p := x.Points.NextSet(0); p >= 0; p = x.Points.NextSet(p + 1) {
 		ctx.occClear(p, x.Color)
 	}
-	ctx.byColorRemove(x.Color, int32(i))
 }
 
-func (ctx *Context) byColorRemove(c int, i int32) {
-	lst := ctx.byColor[c]
-	for k, v := range lst {
-		if v == i {
-			lst[k] = lst[len(lst)-1]
-			ctx.byColor[c] = lst[:len(lst)-1]
-			return
-		}
-	}
-	panic("intra: piece missing from byColor") //lint:invariant byColor index corruption: every attached piece is registered under its color; reaching here means the occupancy indexes disagree with piece state
-}
-
-// recolorWhole moves attached piece i to newCol, maintaining occ/byColor.
+// recolorWhole moves attached piece i to newCol, maintaining occ/colPts.
 func (ctx *Context) recolorWhole(i, newCol int) {
 	x := ctx.Pieces[i]
 	old := x.Color
@@ -184,13 +188,18 @@ func (ctx *Context) recolorWhole(i, newCol int) {
 		ctx.occClear(p, old)
 		ctx.occSet(p, newCol)
 	}
-	ctx.byColorRemove(old, int32(i))
-	ctx.byColor[newCol] = append(ctx.byColor[newCol], int32(i))
 	x.Color = newCol
 }
 
-// PieceAt returns the index of v's piece covering point p, or -1.
-func (ctx *Context) PieceAt(v, p int) int { return int(ctx.pieceOf[v*ctx.np+p]) }
+// PieceAt returns the index of v's piece covering point p, or -1 when v
+// is not live at p.
+func (ctx *Context) PieceAt(v, p int) int {
+	s := ctx.A.Slot(v, p)
+	if s < 0 {
+		return -1
+	}
+	return int(ctx.pieceOf[s])
+}
 
 // ColorAt returns the palette color holding v at point p, or -1.
 func (ctx *Context) ColorAt(v, p int) int {
@@ -215,7 +224,7 @@ func (ctx *Context) Clone() *Context {
 // Clone per candidate color.
 func (dst *Context) copyFrom(src *Context) {
 	dst.A, dst.Cap, dst.Size = src.A, src.Cap, src.Size
-	dst.np, dst.occW = src.np, src.occW
+	dst.np, dst.occW, dst.npW = src.np, src.occW, src.npW
 	dst.cost, dst.weights, dst.noIncr = src.cost, src.weights, src.noIncr
 	dst.baseCost, dst.oldSum = src.baseCost, src.oldSum
 
@@ -239,34 +248,11 @@ func (dst *Context) copyFrom(src *Context) {
 	}
 	dst.Pieces = full[:n]
 
-	if cap(dst.pieceOf) < len(src.pieceOf) {
-		dst.pieceOf = make([]int32, len(src.pieceOf))
-	}
-	dst.pieceOf = dst.pieceOf[:len(src.pieceOf)]
-	copy(dst.pieceOf, src.pieceOf)
-
-	if cap(dst.occ) < len(src.occ) {
-		dst.occ = make([]uint64, len(src.occ))
-	}
-	dst.occ = dst.occ[:len(src.occ)]
-	copy(dst.occ, src.occ)
-
-	fullB := dst.byColor[:cap(dst.byColor)]
-	if len(fullB) < len(src.byColor) {
-		nb := make([][]int32, len(src.byColor))
-		copy(nb, fullB)
-		fullB = nb
-	}
-	dst.byColor = fullB[:len(src.byColor)]
-	for c := range dst.byColor {
-		dst.byColor[c] = append(dst.byColor[c][:0], src.byColor[c]...)
-	}
-
+	dst.pieceOf = append(dst.pieceOf[:0], src.pieceOf...)
+	dst.occ = append(dst.occ[:0], src.occ...)
+	dst.colPts = append(dst.colPts[:0], src.colPts...)
 	dst.dirty = append(dst.dirty[:0], src.dirty...)
-	if len(dst.dirtyIn) != len(src.dirtyIn) {
-		dst.dirtyIn = make(bitset.Set, len(src.dirtyIn))
-	}
-	copy(dst.dirtyIn, src.dirtyIn)
+	dst.dirtyIn = append(dst.dirtyIn[:0], src.dirtyIn...)
 }
 
 // crossingPoints returns the CSB points piece x is live across.
@@ -304,27 +290,27 @@ func (ctx *Context) touchVar(v int) {
 }
 
 // varCost prices variable v's contribution to MoveCost: its flow edges
-// (ig.Analysis.VarEdges) whose endpoints sit in differently-colored
-// pieces. Both endpoints always have pieces: v is live-out of p and
-// live-in to q, hence covered at both points.
+// (ig.Analysis.VarEdges, pre-translated to slot pairs in SlotEdges)
+// whose endpoints sit in differently-colored pieces. Both endpoints
+// always have slots: v is live-out of p and live-in to q, hence covered
+// at both points.
 func (ctx *Context) varCost(v int) int {
-	edges := ctx.A.VarEdges[v]
-	base := v * ctx.np
+	slots := ctx.A.SlotEdges[v]
 	total := 0
 	if ctx.weights == nil {
-		for k := 0; k < len(edges); k += 2 {
-			xs, xd := ctx.pieceOf[base+int(edges[k])], ctx.pieceOf[base+int(edges[k+1])]
+		for k := 0; k < len(slots); k += 2 {
+			xs, xd := ctx.pieceOf[slots[k]], ctx.pieceOf[slots[k+1]]
 			if xs != xd && ctx.Pieces[xs].Color != ctx.Pieces[xd].Color {
 				total++
 			}
 		}
 		return total
 	}
-	for k := 0; k < len(edges); k += 2 {
-		p, q := int(edges[k]), int(edges[k+1])
-		xs, xd := ctx.pieceOf[base+p], ctx.pieceOf[base+q]
+	edges := ctx.A.VarEdges[v]
+	for k := 0; k < len(slots); k += 2 {
+		xs, xd := ctx.pieceOf[slots[k]], ctx.pieceOf[slots[k+1]]
 		if xs != xd && ctx.Pieces[xs].Color != ctx.Pieces[xd].Color {
-			total += ctx.edgeWeight(p, q)
+			total += ctx.edgeWeight(int(edges[k]), int(edges[k+1]))
 		}
 	}
 	return total
@@ -458,7 +444,7 @@ func (ctx *Context) WeightedMoveCost(weights []int64) int64 {
 // Validate checks every structural invariant of the context; tests and
 // the inter-thread allocator use it as a safety net. It deliberately
 // reads only the ground-truth representation (Pieces + pieceOf), never
-// the derived occ/byColor structures, so it stays meaningful on contexts
+// the derived occ/colPts structures, so it stays meaningful on contexts
 // whose pieces were mutated directly.
 func (ctx *Context) Validate() error {
 	a := ctx.A
@@ -529,25 +515,16 @@ func (ctx *Context) colorsFreeAt(p int, self int, free []bool) {
 	})
 }
 
-// rebuildPieceIndex regenerates pieceOf, occ and byColor after pieces
-// were removed/merged. Re-indexing changes no colors, so the cached cost
-// and incremental snapshot stay valid.
-func (ctx *Context) rebuildPieceIndex() {
-	for i := range ctx.pieceOf {
-		ctx.pieceOf[i] = -1
-	}
-	for i := range ctx.occ {
-		ctx.occ[i] = 0
-	}
-	for c := range ctx.byColor {
-		ctx.byColor[c] = ctx.byColor[c][:0]
-	}
-	for i, x := range ctx.Pieces {
-		base := x.Var * ctx.np
+// rebuildPieceIndex renumbers pieceOf after coalesce compacted the
+// piece list, for the pieces from index from on (those before it kept
+// their indices). occ and colPts hold colors, not piece indices, so they
+// need no rebuild; re-indexing changes no colors, so the cached cost and
+// incremental snapshot stay valid.
+func (ctx *Context) rebuildPieceIndex(from int) {
+	for i := from; i < len(ctx.Pieces); i++ {
+		x := ctx.Pieces[i]
 		for pt := x.Points.NextSet(0); pt >= 0; pt = x.Points.NextSet(pt + 1) {
-			ctx.pieceOf[base+pt] = int32(i)
-			ctx.occSet(pt, x.Color)
+			ctx.pieceOf[ctx.A.Slot(x.Var, pt)] = int32(i)
 		}
-		ctx.byColor[x.Color] = append(ctx.byColor[x.Color], int32(i))
 	}
 }

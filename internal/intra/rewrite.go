@@ -179,14 +179,25 @@ type copyPair struct{ dst, src ir.Reg }
 // ends have different colors. Callers pass a reused buffer ([:0]) so the
 // per-edge scan allocates nothing.
 func (ctx *Context) edgeCopies(p, q int, phys []ir.Reg, pairs []copyPair) []copyPair {
-	live := ctx.A.Live
-	out, in := live.Out[p], live.In[q]
+	a := ctx.A
+	out, in := a.Live.Out[p], a.Live.In[q]
 	for v := out.NextSet(0); v >= 0; v = out.NextSet(v + 1) {
 		if !in.Has(v) {
 			continue
 		}
-		cs, cd := ctx.ColorAt(v, p), ctx.ColorAt(v, q)
-		if cs < 0 || cd < 0 || cs == cd {
+		// v is live at both ends, so both slots exist; on a fallthrough
+		// edge q is v's next live point and takes the next slot.
+		sp := a.Slot(v, p)
+		sq := sp + 1
+		if q != p+1 {
+			sq = a.Slot(v, q)
+		}
+		xs, xd := ctx.pieceOf[sp], ctx.pieceOf[sq]
+		if xs == xd {
+			continue
+		}
+		cs, cd := ctx.Pieces[xs].Color, ctx.Pieces[xd].Color
+		if cs == cd {
 			continue
 		}
 		pairs = append(pairs, copyPair{dst: phys[cd], src: phys[cs]})

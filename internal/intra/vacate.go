@@ -44,11 +44,10 @@ func (ctx *Context) vacateColor(c int) error {
 	for p := 0; p < ctx.np; p++ {
 		rowRemoveBit(ctx.occRow(p), c)
 	}
-	// byColor: splice out slot c (empty by now), reusing its storage for
-	// the vacated top slot.
-	empty := ctx.byColor[c][:0]
-	copy(ctx.byColor[c:ctx.Size-1], ctx.byColor[c+1:ctx.Size])
-	ctx.byColor[ctx.Size-1] = empty
+	// colPts: splice out row c (empty by now), shifting the rows of the
+	// higher colors down.
+	copy(ctx.colPts[c*ctx.npW:], ctx.colPts[(c+1)*ctx.npW:])
+	ctx.colPts = ctx.colPts[:(ctx.Size-1)*ctx.npW]
 	if c < ctx.Cap {
 		ctx.Cap--
 	}
@@ -111,7 +110,10 @@ func (ctx *Context) demoteColor(c int) error {
 				row[wl] ^= bl
 			}
 		}
-		ctx.byColor[c], ctx.byColor[last] = ctx.byColor[last], ctx.byColor[c]
+		rc, rl := ctx.colorPoints(c), ctx.colorPoints(last)
+		for j := range rc {
+			rc[j], rl[j] = rl[j], rc[j]
+		}
 	}
 	ctx.Cap--
 	// A label swap is a color bijection: the cached cost stays valid.
@@ -120,19 +122,17 @@ func (ctx *Context) demoteColor(c int) error {
 
 // victimsOf lists the pieces holding color c (restricted to CSB-crossing
 // pieces when crossingOnly), smallest first — small pieces are most
-// likely to slot into an existing color without splitting. Candidates are
-// drawn from byColor but ordered by ascending piece index before the
-// size sort, so the result does not depend on byColor's maintenance
-// order. The returned slice is ctx scratch, valid until the next call.
+// likely to slot into an existing color without splitting; equal sizes
+// keep ascending piece index. The returned slice is ctx scratch, valid
+// until the next call.
 func (ctx *Context) victimsOf(c int, crossingOnly bool) []int {
 	victims := ctx.victScratch[:0]
-	for _, idx := range ctx.byColor[c] {
-		if crossingOnly && !ctx.crosses(ctx.Pieces[idx]) {
+	for i, x := range ctx.Pieces {
+		if x.Color != c || crossingOnly && !ctx.crosses(x) {
 			continue
 		}
-		victims = append(victims, int(idx))
+		victims = append(victims, i)
 	}
-	sort.Ints(victims)
 	sort.SliceStable(victims, func(i, j int) bool {
 		return ctx.Pieces[victims[i]].Points.Count() < ctx.Pieces[victims[j]].Points.Count()
 	})
@@ -398,29 +398,11 @@ func (ctx *Context) tryDisplace(i, c int, isCrossing bool) bool {
 		if cand == c || cand == x.Color {
 			continue
 		}
-		// Find the blockers of cand over x's points: pieces holding cand
-		// that intersect x.
-		qi, count := -1, 0
-		for _, idx := range ctx.byColor[cand] {
-			y := ctx.Pieces[idx]
-			if y.Var == x.Var {
-				continue
-			}
-			if y.Points.Intersects(x.Points) {
-				count++
-				if count > 1 {
-					break
-				}
-				qi = int(idx)
-			}
-		}
-		if count != 1 {
+		qi := ctx.soleBlocker(x, cand)
+		if qi < 0 {
 			continue
 		}
 		q := ctx.Pieces[qi]
-		if q.Color == c {
-			continue // q is itself being vacated; let its own turn handle it
-		}
 		// Find a free wholesale color for q (not c, not cand, and x's
 		// current color does not count as free either: x still holds it
 		// until we reassign below — but x is moving to cand, so x's old
@@ -444,6 +426,39 @@ func (ctx *Context) tryDisplace(i, c int, isCrossing bool) bool {
 		}
 	}
 	return false
+}
+
+// soleBlocker returns the index of the only piece holding color col on
+// x's points, or -1 when there is none or more than one. A point has at
+// most one holder per color, so the holder of the first shared point is
+// the sole blocker iff it covers every shared point.
+func (ctx *Context) soleBlocker(x *Piece, col int) int {
+	qi := -1
+	for j, w := range ctx.colorPoints(col) {
+		w &= x.Points[j]
+		if w == 0 {
+			continue
+		}
+		if qi < 0 {
+			qi = ctx.holderAt(j<<6+bits.TrailingZeros64(w), col)
+		}
+		if w&^ctx.Pieces[qi].Points[j] != 0 {
+			return -1
+		}
+	}
+	return qi
+}
+
+// holderAt returns the index of the piece holding color col at point p,
+// which colPts records as held.
+func (ctx *Context) holderAt(p, col int) int {
+	at := ctx.A.Live.At[p]
+	for v := at.NextSet(0); v >= 0; v = at.NextSet(v + 1) {
+		if i := ctx.PieceAt(v, p); i >= 0 && ctx.Pieces[i].Color == col {
+			return i
+		}
+	}
+	panic("intra: colPts holds a color no piece covers") //lint:invariant occupancy index corruption: colPts and the piece list are kept in step by occSet/occClear, so a held (point, color) always has a covering piece
 }
 
 func bitsetWith(n, p int) bitset.Set {
@@ -499,7 +514,7 @@ func (ctx *Context) coalesce() {
 		cursors[x.Var]++
 	}
 
-	changedAny := false
+	removed := len(ctx.Pieces) // lowest index of a merged-away piece
 	for v := 0; v < nv; v++ {
 		idxs := flat[off[v]:off[v+1]]
 		if len(idxs) < 2 {
@@ -530,22 +545,20 @@ func (ctx *Context) coalesce() {
 							ctx.occSet(p, y.Color)
 						}
 					}
-					ctx.byColorRemove(x.Color, int32(i))
 					y.Points.Or(x.Points)
-					base := v * ctx.np
 					for pt := x.Points.NextSet(0); pt >= 0; pt = x.Points.NextSet(pt + 1) {
-						ctx.pieceOf[base+pt] = int32(j)
+						ctx.pieceOf[ctx.A.Slot(v, pt)] = int32(j)
 					}
 					ctx.Pieces[i] = nil
-					changedAny, again = true, true
+					removed, again = min(removed, i), true
 					break
 				}
 			}
 		}
 	}
-	if changedAny {
-		kept := ctx.Pieces[:0]
-		for _, x := range ctx.Pieces {
+	if removed < len(ctx.Pieces) {
+		kept := ctx.Pieces[:removed]
+		for _, x := range ctx.Pieces[removed:] {
 			if x != nil {
 				kept = append(kept, x)
 			}
@@ -558,12 +571,15 @@ func (ctx *Context) coalesce() {
 			tail[i] = nil
 		}
 		ctx.Pieces = kept
-		ctx.rebuildPieceIndex()
+		ctx.rebuildPieceIndex(removed)
 	}
 }
 
 // canTake reports whether piece x could legally adopt color col: no piece
-// of another variable holding col overlaps x.
+// of another variable holding col overlaps x. Pieces of x's own variable
+// are disjoint from x, so that is one intersection with col's point set —
+// unless x itself holds col, where the proper coloring already rules out
+// any other holder on x's points.
 func (ctx *Context) canTake(x *Piece, col int) bool {
 	if col < 0 || col >= ctx.Size {
 		return false
@@ -571,11 +587,5 @@ func (ctx *Context) canTake(x *Piece, col int) bool {
 	if col >= ctx.Cap && ctx.crosses(x) {
 		return false
 	}
-	for _, idx := range ctx.byColor[col] {
-		y := ctx.Pieces[idx]
-		if y.Var != x.Var && y.Points.Intersects(x.Points) {
-			return false
-		}
-	}
-	return true
+	return col == x.Color || !ctx.colorPoints(col).Intersects(x.Points)
 }
