@@ -33,12 +33,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The packages with real concurrency: the worker pool, the allocator
-# fan-outs (setup, pricing, SRA sweep) that write per-index slots, and
-# the serving layer (singleflight, batching, drain).
+# The packages with real concurrency: the worker pool, the intra
+# allocator's trial lanes that share one chain step's parent context,
+# the ARA setup fan-out that writes per-index slots, and the serving
+# layer (singleflight, batching, drain).
 .PHONY: race
 race:
-	$(GO) test -race ./internal/core/... ./internal/funccache/... ./internal/parallel/... ./internal/serve/...
+	$(GO) test -race ./internal/core/... ./internal/funccache/... ./internal/intra/... ./internal/parallel/... ./internal/serve/...
 
 # A short native-fuzzer run over the allocation API with fault injection
 # armed from the input; catches panics and verification/semantics breaks.

@@ -55,12 +55,13 @@ type Config struct {
 	// thread count when non-nil.
 	Critical []float64
 
-	// Workers bounds the goroutines used to price reduction candidates
-	// (and to run the initial per-thread Solve fan-out and the SRA
-	// sweep). 0 means runtime.GOMAXPROCS(0); 1 runs serially. The result
-	// is bit-identical for every worker count: pricing is a pure fan-out
-	// over per-thread allocators and the winning reduction is selected
-	// serially with lowest-thread-index tie-breaking.
+	// Workers bounds the lanes each chain step of an intra-thread
+	// allocator prices its candidate colors on, and the ARA setup
+	// fan-out over distinct code bodies. 0 means runtime.GOMAXPROCS(0);
+	// 1 runs serially. The result, the Solve-cache counters and the
+	// chain-step and trial counts are bit-identical for every worker
+	// count: a step's winner is the lowest (cost, color) over all its
+	// trials, and everything else runs serially.
 	Workers int
 
 	// FuncCache, when non-nil, supplies per-function allocators whose
@@ -199,8 +200,8 @@ func allocateARA(ctx context.Context, funcs []*ir.Func, cfg Config) (*Allocation
 	// mix) share one incremental allocator and thus one Solve cache:
 	// the program is analyzed once per distinct code body and duplicate
 	// probes become cache hits. groups lists, per distinct body, the
-	// member thread indices in ascending order; all fan-out below is
-	// per group, because an allocator is not safe for concurrent use.
+	// member thread indices in ascending order; the setup fan-out below
+	// is per group, because an allocator is not safe for concurrent use.
 	var groups [][]int
 	byCode := make(map[string]int)
 	for i, f := range funcs {
@@ -221,7 +222,7 @@ func allocateARA(ctx context.Context, funcs []*ir.Func, cfg Config) (*Allocation
 	sols := make([]*intra.Solution, n)
 
 	// Checked-out allocators go back to the source exactly once, from
-	// this goroutine, after every fan-out below has fully drained
+	// this goroutine, after the setup fan-out below has fully drained
 	// (parallel.MapErr always waits for in-flight calls). ok is flipped
 	// only on the clean-return path, so an error or a panic unwinding
 	// through here discards the allocators instead of recycling them —
@@ -240,7 +241,8 @@ func allocateARA(ctx context.Context, funcs []*ir.Func, cfg Config) (*Allocation
 	}()
 
 	// Per-group analysis and the first Solves are independent across
-	// groups, so the setup fans out.
+	// groups, so the setup fans out: analysis and estimation are work
+	// the allocators' trial lanes cannot reach.
 	if _, err := parallel.MapErr(ctx, workers, len(groups), func(g int) (struct{}, error) {
 		f0 := funcs[groups[g][0]]
 		al, checkin, err := acquire(cfg, f0)
@@ -299,14 +301,12 @@ func allocateARA(ctx context.Context, funcs []*ir.Func, cfg Config) (*Allocation
 	}
 
 	// Greedy reduction (paper Figure 8): while over budget, price every
-	// single-register reduction and take the cheapest. Pricing fans out
-	// per group — each group's candidate Solves run serially on its own
-	// allocator (allocators are not safe for concurrent use, but
-	// distinct groups' allocators never share mutable state) — and the
-	// winner is then selected serially: Option A in ascending thread
+	// single-register reduction and take the cheapest. Pricing runs
+	// serially over the threads: most probes are Solve-cache hits, and a
+	// miss fans out across its candidate colors inside the allocator.
+	// The winner is chosen by scanning Option A in ascending thread
 	// order, then B, then C, with strict less-than comparisons, so the
-	// lowest thread index (and earliest option) wins equal costs and the
-	// allocation is identical for every worker count.
+	// lowest thread index (and earliest option) wins equal costs.
 	for demand() > cfg.NReg {
 		if err := parallel.CtxErr(ctx); err != nil {
 			return nil, err
@@ -369,19 +369,14 @@ func allocateARA(ctx context.Context, funcs []*ir.Func, cfg Config) (*Allocation
 			return cand
 		}
 		probes := make([]candidates, n)
-		if _, err := parallel.MapErr(ctx, workers, len(groups), func(g int) (struct{}, error) {
-			for _, i := range groups[g] {
-				if err := parallel.CtxErr(ctx); err != nil {
-					return struct{}{}, err
-				}
-				if err := faultinject.Fire(ctx, faultinject.SitePricing); err != nil {
-					return struct{}{}, err
-				}
-				probes[i] = price(i)
+		for i := range probes {
+			if err := parallel.CtxErr(ctx); err != nil {
+				return nil, err
 			}
-			return struct{}{}, nil
-		}); err != nil {
-			return nil, err
+			if err := faultinject.Fire(ctx, faultinject.SitePricing); err != nil {
+				return nil, err
+			}
+			probes[i] = price(i)
 		}
 
 		type option struct {
@@ -586,11 +581,10 @@ func finalize(ctx context.Context, funcs []*ir.Func, als []*intra.Allocator, pr,
 // nthd*PR + SR <= NReg and keep the cheapest (fewest moves) solution,
 // breaking ties toward the smallest register footprint.
 //
-// With cfg.Workers != 1 the sweep fans out: the candidate (PR, SR) list
-// is split into contiguous chunks, each priced by its own allocator over
-// the shared analysis, and the winner is selected by a serial scan in
-// ascending-PR order with strict comparisons — the same point the serial
-// sweep picks, since Solve is a pure function of the budget.
+// The sweep runs serially in ascending-PR order on one allocator, so
+// each point derives from the contexts the points before it memoized,
+// and stops at the first zero-cost point at minimal PR; cfg.Workers
+// bounds the lanes each chain step prices its candidate colors on.
 func AllocateSRA(f *ir.Func, nthd int, cfg Config) (*Allocation, error) {
 	return AllocateSRACtx(context.Background(), f, nthd, cfg)
 }
@@ -624,7 +618,6 @@ func AllocateSRACtx(ctx context.Context, f *ir.Func, nthd int, cfg Config) (*All
 }
 
 func allocateSRA(ctx context.Context, f *ir.Func, nthd int, cfg Config) (*Allocation, error) {
-	workers := parallel.Workers(cfg.Workers)
 	al, checkin, err := acquire(cfg, f)
 	if err != nil {
 		return nil, err
@@ -635,106 +628,32 @@ func allocateSRA(ctx context.Context, f *ir.Func, nthd int, cfg Config) (*Alloca
 	defer func() { checkin(ok) }()
 	b := al.Bounds()
 
-	// The 1-D candidate frontier: for each PR, the largest useful SR.
-	type cand struct{ p, s int }
-	var cands []cand
-	for p := b.MinPR; p <= cfg.NReg/nthd; p++ {
-		srMax := cfg.NReg - nthd*p
-		if srMax < 0 {
-			break
-		}
-		s := srMax
-		if cap := b.MaxR - p; s > cap {
-			if cap < 0 {
-				cap = 0
-			}
-			s = cap // more shared than MaxR-p is never used
-		}
-		cands = append(cands, cand{p, s})
-	}
-
-	// A warm allocator may already hold most of the frontier from an
-	// earlier sweep of the same body; replaying those points serially is
-	// pure memo lookups and beats paying per-chunk allocator setup to
-	// recompute them. Solve is a pure function of the budget, so the
-	// serial and chunked sweeps pick the identical winner either way.
-	warm := 0
-	for _, c := range cands {
-		if al.HasSolved(c.p, c.s) {
-			warm++
-		}
-	}
-	sweepAls := []*intra.Allocator{al}
-	swept := make([]*intra.Solution, len(cands))
-	if workers <= 1 || len(cands) <= 1 || warm*2 >= len(cands) {
-		for ci, c := range cands {
-			if err := parallel.CtxErr(ctx); err != nil {
-				return nil, err
-			}
-			if err := faultinject.Fire(ctx, faultinject.SiteSolve); err != nil {
-				return nil, err
-			}
-			sol, err := al.Solve(c.p, c.s)
-			if err != nil {
-				continue
-			}
-			swept[ci] = sol
-			if sol.Cost == 0 && c.p == b.MinPR {
-				break // cannot do better than zero moves at minimal PR
-			}
-		}
-	} else {
-		chunks := parallel.Chunks(workers, len(cands))
-		chunkAls := make([]*intra.Allocator, len(chunks))
-		if _, err := parallel.MapErr(ctx, workers, len(chunks), func(k int) (struct{}, error) {
-			// One allocator per chunk: the sweep points inside a chunk
-			// share its context-derivation memo, and the analysis behind
-			// all of them is shared read-only.
-			cal, err := intra.NewFromAnalysis(al.A)
-			if err != nil {
-				return struct{}{}, err
-			}
-			chunkAls[k] = cal
-			for ci := chunks[k][0]; ci < chunks[k][1]; ci++ {
-				if err := parallel.CtxErr(ctx); err != nil {
-					return struct{}{}, err
-				}
-				if err := faultinject.Fire(ctx, faultinject.SiteSolve); err != nil {
-					return struct{}{}, err
-				}
-				if sol, err := cal.Solve(cands[ci].p, cands[ci].s); err == nil {
-					swept[ci] = sol
-				}
-			}
-			return struct{}{}, nil
-		}); err != nil {
-			return nil, err
-		}
-		sweepAls = append(sweepAls, chunkAls...)
-		// With a function cache behind al, fold the chunk allocators'
-		// memo entries back into it (ascending chunk order, so the merge
-		// is deterministic): the next checkout of this body then replays
-		// the whole frontier from memory instead of re-sweeping.
-		if cfg.FuncCache != nil {
-			for _, cal := range chunkAls {
-				if err := al.Absorb(cal); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
+	// Sweep the 1-D frontier in ascending PR, each point at its largest
+	// useful SR, keeping the cheapest solution (ties: smallest footprint).
 	bestCost, bestFoot := -1, 0
 	var bestSol *intra.Solution
 	bestPR, bestSR := 0, 0
-	for ci, sol := range swept {
-		if sol == nil {
+	for p := b.MinPR; p <= cfg.NReg/nthd; p++ {
+		// All the registers nthd*p leaves, but more shared than MaxR-p
+		// is never used.
+		s := min(cfg.NReg-nthd*p, max(b.MaxR-p, 0))
+		if err := parallel.CtxErr(ctx); err != nil {
+			return nil, err
+		}
+		if err := faultinject.Fire(ctx, faultinject.SiteSolve); err != nil {
+			return nil, err
+		}
+		sol, err := al.Solve(p, s)
+		if err != nil {
 			continue
 		}
-		foot := nthd*cands[ci].p + (sol.Ctx.Size - min(cands[ci].p, sol.Ctx.Size))
+		foot := nthd*p + (sol.Ctx.Size - min(p, sol.Ctx.Size))
 		if bestCost < 0 || sol.Cost < bestCost || (sol.Cost == bestCost && foot < bestFoot) {
 			bestCost, bestFoot = sol.Cost, foot
-			bestSol, bestPR, bestSR = sol, cands[ci].p, cands[ci].s
+			bestSol, bestPR, bestSR = sol, p, s
+		}
+		if sol.Cost == 0 && p == b.MinPR {
+			break // cannot do better than zero moves at minimal PR
 		}
 	}
 	if bestSol == nil {
@@ -756,10 +675,8 @@ func allocateSRA(ctx context.Context, f *ir.Func, nthd int, cfg Config) (*Alloca
 	if err != nil {
 		return nil, err
 	}
-	for _, sal := range sweepAls {
-		alloc.SolveCache.Add(sal.CacheStats())
-		alloc.Phases.Add(sal.PhaseStats())
-	}
+	alloc.SolveCache.Add(al.CacheStats())
+	alloc.Phases.Add(al.PhaseStats())
 	ok = true
 	return alloc, nil
 }

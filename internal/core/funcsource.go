@@ -14,6 +14,7 @@ package core
 import (
 	"npra/internal/intra"
 	"npra/internal/ir"
+	"npra/internal/parallel"
 )
 
 // AllocatorSource supplies intra-thread allocators for function bodies.
@@ -51,14 +52,18 @@ type RewriteSource interface {
 }
 
 // acquire returns the allocator for f: from the configured source when
-// one is set, freshly built otherwise (with a no-op checkin).
-func acquire(cfg Config, f *ir.Func) (*intra.Allocator, func(bool), error) {
+// one is set, freshly built otherwise (with a no-op checkin). Either way
+// it prices chain steps on cfg.Workers lanes for this run.
+func acquire(cfg Config, f *ir.Func) (al *intra.Allocator, checkin func(bool), err error) {
 	if cfg.FuncCache != nil {
-		return cfg.FuncCache.Checkout(f)
+		al, checkin, err = cfg.FuncCache.Checkout(f)
+	} else {
+		al, err = intra.New(f)
+		checkin = func(bool) {}
 	}
-	al, err := intra.New(f)
 	if err != nil {
 		return nil, nil, err
 	}
-	return al, func(bool) {}, nil
+	al.Workers = parallel.Workers(cfg.Workers)
+	return al, checkin, nil
 }

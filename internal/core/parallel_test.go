@@ -10,9 +10,9 @@ import (
 	"npra/internal/progen"
 )
 
-// Property: the parallel pricing engine is bit-identical to the serial
-// one — same (PR, SR) vectors, same move counts, same rewritten code —
-// on random multi-thread workloads.
+// Property: the parallel engine is bit-identical to the serial one —
+// same (PR, SR) vectors, same move counts, same rewritten code, same
+// search counters — on random multi-thread workloads.
 func TestQuickWorkersDeterminism(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -46,20 +46,15 @@ func TestQuickWorkersDeterminism(t *testing.T) {
 				return false
 			}
 		}
-		// The pricing fan-out is structurally identical for every worker
-		// count, so even the cache counters must agree.
-		if serial.SolveCache != par.SolveCache {
-			t.Logf("seed %d: cache stats diverged: %+v vs %+v", seed, serial.SolveCache, par.SolveCache)
-			return false
-		}
-		return true
+		return sameSearch(t, seed, serial, par)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: the SRA sweep picks the same point serially and in parallel.
+// Property: the SRA sweep picks the same point, with the same search,
+// serially and in parallel.
 func TestQuickSRAWorkersDeterminism(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -74,14 +69,35 @@ func TestQuickSRAWorkersDeterminism(t *testing.T) {
 		if errS != nil {
 			return true
 		}
-		return serial.Threads[0].PR == par.Threads[0].PR &&
-			serial.Threads[0].SR == par.Threads[0].SR &&
-			serial.Threads[0].Cost == par.Threads[0].Cost &&
-			serial.Threads[0].F.Format() == par.Threads[0].F.Format()
+		s, p := serial.Threads[0], par.Threads[0]
+		if s.PR != p.PR || s.SR != p.SR || s.Cost != p.Cost || s.F.Format() != p.F.Format() {
+			t.Logf("seed %d: serial (PR=%d SR=%d cost=%d) vs parallel (PR=%d SR=%d cost=%d)",
+				seed, s.PR, s.SR, s.Cost, p.PR, p.SR, p.Cost)
+			return false
+		}
+		return sameSearch(t, seed, serial, par)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// sameSearch reports whether two allocations of one input did the same
+// search: the worker count only splits a chain step's candidate colors
+// across lanes, so the Solve-cache counters and the chain-step and trial
+// counts must agree exactly.
+func sameSearch(t *testing.T, seed int64, serial, par *Allocation) bool {
+	if serial.SolveCache != par.SolveCache {
+		t.Logf("seed %d: cache stats diverged: %+v vs %+v", seed, serial.SolveCache, par.SolveCache)
+		return false
+	}
+	s, p := serial.Phases, par.Phases
+	if s.Trials != p.Trials || s.ChainSteps != p.ChainSteps {
+		t.Logf("seed %d: search diverged: %d trials / %d chain steps vs %d / %d",
+			seed, s.Trials, s.ChainSteps, p.Trials, p.ChainSteps)
+		return false
+	}
+	return true
 }
 
 // The Solve cache must show hits on the paper's S1 thread mix both at

@@ -106,8 +106,8 @@ func TestWarmColdDifferentialARA(t *testing.T) {
 }
 
 // TestWarmColdDifferentialSRA covers the homogeneous-threads entry
-// point: warm SRA replays (and chunked sweeps absorb) through the same
-// cache the ARA runs warmed.
+// point: warm SRA sweeps replay through the same cache the ARA runs
+// warmed.
 func TestWarmColdDifferentialSRA(t *testing.T) {
 	cache := New(Config{})
 	for i := int64(0); i < 12; i++ {

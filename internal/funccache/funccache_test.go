@@ -136,8 +136,11 @@ func TestPoolOverflowAbsorb(t *testing.T) {
 	if al1.A != al2.A {
 		t.Error("overflow allocator not built over the shared analysis")
 	}
+	// A budget exercise did not probe, so only the overflow allocator
+	// has it in its Solve memo.
 	b := al2.Bounds()
-	if _, err := al2.Solve(b.MinPR, b.MaxR-b.MinPR); err != nil {
+	pr, sr := b.MinPR, b.MaxR-b.MinPR+1
+	if _, err := al2.Solve(pr, sr); err != nil {
 		t.Fatal(err)
 	}
 	ci1(true) // pool has room again: recycled
@@ -154,8 +157,11 @@ func TestPoolOverflowAbsorb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !al3.HasSolved(b.MinPR, b.MaxR-b.MinPR) {
-		t.Error("overflow allocator's Solve memo was not absorbed into the pool")
+	if _, err := al3.Solve(pr, sr); err != nil {
+		t.Fatal(err)
+	}
+	if st := al3.CacheStats(); st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("pooled allocator's Solve = %+v, want one hit: the overflow allocator's Solve memo was not absorbed", st)
 	}
 	ci3(true)
 }

@@ -2,6 +2,7 @@ package intra
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"npra/internal/core/errs"
@@ -9,6 +10,7 @@ import (
 	"npra/internal/ig"
 	"npra/internal/ir"
 	"npra/internal/loops"
+	"npra/internal/parallel"
 )
 
 // Allocator solves intra-thread allocations for one function at any
@@ -23,11 +25,18 @@ import (
 // eliminations run on contexts drawn from a per-allocator scratch pool
 // (copied from the cached neighbor, storage reused across candidates);
 // the winning candidate leaves the pool for the memo. The allocator is
-// not safe for concurrent use.
+// not safe for concurrent use; the only goroutines it starts are
+// bestStep's trial lanes, which it waits for.
 type Allocator struct {
 	F   *ir.Func
 	A   *ig.Analysis
 	Est *estimate.Estimate
+
+	// Workers bounds the lanes one chain step prices its candidate colors
+	// on; 0 or 1 prices them on the calling goroutine. Every value yields
+	// the same contexts, Solutions, errors, cache counters and trial and
+	// chain-step counts. Set it between Solve calls, never during one.
+	Workers int
 
 	// DisableCoalesce turns off the unnecessary-move elimination pass
 	// after each color elimination (for ablation studies). Set before the
@@ -140,19 +149,6 @@ func (al *Allocator) ResetStats() {
 // warm and to estimate entry footprints.
 func (al *Allocator) MemoSize() (contexts, sols int) {
 	return len(al.memo) + len(al.memoErr), len(al.sols) + len(al.solErrs)
-}
-
-// HasSolved reports whether the (pr, sr) budget is already in the
-// Solve-point memo (as a solution or a memoized infeasibility), without
-// touching the counters. The SRA sweep consults it to pick a serial
-// warm replay over a parallel cold sweep.
-func (al *Allocator) HasSolved(pr, sr int) bool {
-	key := [2]int{pr, sr}
-	if _, ok := al.sols[key]; ok {
-		return true
-	}
-	_, ok := al.solErrs[key]
-	return ok
 }
 
 // Footprint estimates the allocator's retained memory in bytes: the
@@ -406,17 +402,15 @@ func (al *Allocator) buildContext(cap, size int) (*Context, error) {
 	}
 }
 
-// takeScratch returns a context holding a copy of prev, drawn from the
-// scratch pool (or freshly allocated when the pool is empty).
-func (al *Allocator) takeScratch(prev *Context) *Context {
-	var c *Context
-	if n := len(al.pool); n > 0 {
-		c = al.pool[n-1]
-		al.pool = al.pool[:n-1]
-	} else {
-		c = &Context{}
+// takeScratch returns a scratch context from the pool, or a fresh one
+// when the pool is empty. Its contents are stale until copyFrom.
+func (al *Allocator) takeScratch() *Context {
+	n := len(al.pool)
+	if n == 0 {
+		return &Context{}
 	}
-	c.copyFrom(prev)
+	c := al.pool[n-1]
+	al.pool = al.pool[:n-1]
 	return c
 }
 
@@ -425,42 +419,84 @@ func (al *Allocator) putScratch(c *Context) { al.pool = append(al.pool, c) }
 // bestStep tries the given elimination on every candidate color in
 // [lo, hi) of a scratch copy of prev and keeps the cheapest successful
 // result, mirroring the paper's greedy "try each color, keep the minimum
-// cost" loops in Reduce_PR/Reduce_SR. Losing (and failed) trials return
-// their storage to the scratch pool; the winner leaves the pool for good,
-// since the caller memoizes it and memoized contexts are never mutated.
+// cost" loops in Reduce_PR/Reduce_SR. The trials are independent, so up
+// to Workers lanes run them, reading prev only. The lowest (cost, color)
+// over the lanes' bests is the serial loop's winner; when every trial
+// fails, the lowest failing color's error is the serial loop's first.
+// Losing (and failed) trials return their storage to the scratch pool;
+// the winner leaves the pool for good, since the caller memoizes it and
+// memoized contexts are never mutated.
 func (al *Allocator) bestStep(prev *Context, lo, hi int, step func(*Context, int) error) (*Context, error) {
 	start := time.Now() //lint:ignore detlint phase-timing observability only; duration never feeds an allocation decision
-	var best *Context
-	bestCost := int(^uint(0) >> 1)
-	var firstErr error
-	for c := lo; c < hi; c++ {
-		al.phases.Trials++
-		trial := al.takeScratch(prev)
-		if err := step(trial, c); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			al.putScratch(trial)
-			continue
+	n := max(hi-lo, 0)
+	lanes := make([]trialLane, min(max(al.Workers, 1), n))
+	for i := range lanes {
+		lanes[i] = trialLane{trial: al.takeScratch(), best: al.takeScratch(), bestColor: -1}
+	}
+	var next atomic.Int64
+	coalesce := !al.DisableCoalesce
+	parallel.ForEach(len(lanes), len(lanes), func(i int) {
+		lanes[i].run(prev, lo, hi, &next, step, coalesce)
+	})
+	al.phases.Trials += n
+
+	var win, failed *trialLane
+	for i := range lanes {
+		ln := &lanes[i]
+		if ln.bestColor >= 0 && (win == nil || ln.bestCost < win.bestCost ||
+			ln.bestCost == win.bestCost && ln.bestColor < win.bestColor) {
+			win = ln
 		}
-		if !al.DisableCoalesce {
-			trial.coalesce()
+		if ln.err != nil && (failed == nil || ln.errColor < failed.errColor) {
+			failed = ln
 		}
-		if cost := trial.MoveCost(); cost < bestCost {
-			if best != nil {
-				al.putScratch(best)
-			}
-			best, bestCost = trial, cost
-		} else {
-			al.putScratch(trial)
+	}
+	for i := range lanes {
+		al.putScratch(lanes[i].trial)
+		if &lanes[i] != win {
+			al.putScratch(lanes[i].best)
 		}
 	}
 	al.phases.ColorNS += time.Since(start).Nanoseconds()
-	if best == nil {
-		if firstErr == nil {
-			firstErr = errInfeasible{"no candidate colors"}
-		}
-		return nil, firstErr
+	switch {
+	case win != nil:
+		return win.best, nil
+	case failed != nil:
+		return nil, failed.err
+	default:
+		return nil, errInfeasible{"no candidate colors"}
 	}
-	return best, nil
+}
+
+// trialLane is one bestStep worker. It draws candidate colors in
+// ascending order from a counter shared with the other lanes, runs each
+// trial on its own scratch context and keeps its cheapest success in
+// best, swapping the two contexts instead of copying.
+type trialLane struct {
+	trial, best *Context
+	bestCost    int
+	bestColor   int // -1 until a trial succeeds
+	err         error
+	errColor    int // the color err came from: the lane's lowest failure
+}
+
+func (ln *trialLane) run(prev *Context, lo, hi int, next *atomic.Int64, step func(*Context, int) error, coalesce bool) {
+	for c := lo + int(next.Add(1)) - 1; c < hi; c = lo + int(next.Add(1)) - 1 {
+		ln.trial.copyFrom(prev)
+		if err := step(ln.trial, c); err != nil {
+			if ln.err == nil {
+				ln.err, ln.errColor = err, c
+			}
+			continue
+		}
+		if coalesce {
+			ln.trial.coalesce()
+		}
+		// Colors arrive in ascending order, so strict < keeps the lowest
+		// color among the lane's equal-cost trials.
+		if cost := ln.trial.MoveCost(); ln.bestColor < 0 || cost < ln.bestCost {
+			ln.trial, ln.best = ln.best, ln.trial
+			ln.bestCost, ln.bestColor = cost, c
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package intra
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,9 +17,11 @@ import (
 // incremental re-pricing on) must agree exactly — same errors, same
 // cost, same palette, same per-point coloring — with a cold allocator
 // built from scratch at every (pr, sr) probe with the incremental
-// machinery disabled (every MoveCost is the full edge walk). At the
-// minimum budget both rewrites must also execute equivalently to the
-// original program.
+// machinery disabled (every MoveCost is the full edge walk). A second
+// warm allocator pricing chain steps on four lanes must return the same
+// Solutions piece for piece, and do the same search. At the minimum
+// budget both rewrites must also execute equivalently to the original
+// program.
 func TestWarmStartDifferential(t *testing.T) {
 	const seeds = 200
 	cfg := progen.StructuredConfig{
@@ -38,6 +41,11 @@ func TestWarmStartDifferential(t *testing.T) {
 			continue // bound-estimation failure: nothing to compare
 		}
 		bd := warm.Bounds()
+		lanes, err := NewFromAnalysis(a)
+		if err != nil {
+			t.Fatalf("seed %d: estimation diverged: %v", seed, err)
+		}
+		lanes.Workers = 4
 
 		// Probe the lattice around both extremes plus the interior: the
 		// minimum point and its (pr, sr) neighbors exercise the deepest
@@ -61,6 +69,15 @@ func TestWarmStartDifferential(t *testing.T) {
 			tried[pb] = true
 
 			wsol, werr := warm.Solve(pr, sr)
+			lsol, lerr := lanes.Solve(pr, sr)
+			if (werr == nil) != (lerr == nil) || werr != nil && werr.Error() != lerr.Error() {
+				t.Fatalf("seed %d (%d,%d): serial err %v, four-lane err %v", seed, pr, sr, werr, lerr)
+			}
+			if werr == nil {
+				if err := sameSolution(wsol, lsol); err != nil {
+					t.Fatalf("seed %d (%d,%d): four lanes: %v", seed, pr, sr, err)
+				}
+			}
 
 			cold, err := NewFromAnalysis(a)
 			if err != nil {
@@ -94,6 +111,12 @@ func TestWarmStartDifferential(t *testing.T) {
 			}
 		}
 
+		ws, ls := warm.PhaseStats(), lanes.PhaseStats()
+		if ws.Trials != ls.Trials || ws.ChainSteps != ls.ChainSteps || warm.CacheStats() != lanes.CacheStats() {
+			t.Fatalf("seed %d: serial search (%d trials, %d steps, %+v) vs four lanes (%d, %d, %+v)", seed,
+				ws.Trials, ws.ChainSteps, warm.CacheStats(), ls.Trials, ls.ChainSteps, lanes.CacheStats())
+		}
+
 		// Execution equivalence at the minimum budget.
 		wsol, werr := warm.Solve(bd.MinPR, minSR)
 		if werr != nil {
@@ -121,6 +144,29 @@ func TestWarmStartDifferential(t *testing.T) {
 				seed, err, opt.Format(), nf.Format())
 		}
 	}
+}
+
+// sameSolution reports how two Solutions of one budget differ in cost,
+// palette or pieces (variable, color and points, in order), or nil.
+func sameSolution(x, y *Solution) error {
+	if x.Cost != y.Cost {
+		return fmt.Errorf("cost %d vs %d", x.Cost, y.Cost)
+	}
+	xc, yc := x.Ctx, y.Ctx
+	if xc.Cap != yc.Cap || xc.Size != yc.Size {
+		return fmt.Errorf("palette (%d,%d) vs (%d,%d)", xc.Cap, xc.Size, yc.Cap, yc.Size)
+	}
+	if len(xc.Pieces) != len(yc.Pieces) {
+		return fmt.Errorf("%d pieces vs %d", len(xc.Pieces), len(yc.Pieces))
+	}
+	for i, xp := range xc.Pieces {
+		yp := yc.Pieces[i]
+		if xp.Var != yp.Var || xp.Color != yp.Color || !xp.Points.Equal(yp.Points) {
+			return fmt.Errorf("piece %d: v%d color %d %v vs v%d color %d %v",
+				i, xp.Var, xp.Color, xp.Points.Elems(nil), yp.Var, yp.Color, yp.Points.Elems(nil))
+		}
+	}
+	return nil
 }
 
 // TestIncrementalCostOracle pins the incremental re-pricing to its

@@ -182,29 +182,3 @@ func run(workers, n int, stop *atomic.Bool, fn func(i int)) {
 		}
 	}
 }
-
-// Chunks splits [0, n) into at most workers contiguous half-open ranges
-// of near-equal size, for callers that want one long-lived worker state
-// (an allocator, a scratch buffer) per chunk rather than per item. The
-// split depends only on (workers, n), never on scheduling.
-func Chunks(workers, n int) [][2]int {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		return nil
-	}
-	out := make([][2]int, 0, workers)
-	size, rem := n/workers, n%workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo + size
-		if w < rem {
-			hi++
-		}
-		out = append(out, [2]int{lo, hi})
-		lo = hi
-	}
-	return out
-}

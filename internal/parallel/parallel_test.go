@@ -251,40 +251,3 @@ func TestMapErrDelayRespectsDeadline(t *testing.T) {
 		t.Errorf("took %v to notice the deadline", el)
 	}
 }
-
-func TestChunks(t *testing.T) {
-	cases := []struct {
-		workers, n int
-		want       [][2]int
-	}{
-		{1, 5, [][2]int{{0, 5}}},
-		{2, 5, [][2]int{{0, 3}, {3, 5}}},
-		{3, 10, [][2]int{{0, 4}, {4, 7}, {7, 10}}},
-		{8, 3, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
-		{4, 0, nil},
-	}
-	for _, c := range cases {
-		got := Chunks(c.workers, c.n)
-		if len(got) != len(c.want) {
-			t.Errorf("Chunks(%d,%d) = %v, want %v", c.workers, c.n, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("Chunks(%d,%d)[%d] = %v, want %v", c.workers, c.n, i, got[i], c.want[i])
-			}
-		}
-	}
-	// Every index covered exactly once, in order.
-	chunks := Chunks(7, 23)
-	next := 0
-	for _, ch := range chunks {
-		if ch[0] != next {
-			t.Fatalf("gap at %d: %v", next, chunks)
-		}
-		next = ch[1]
-	}
-	if next != 23 {
-		t.Fatalf("coverage ends at %d", next)
-	}
-}

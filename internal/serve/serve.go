@@ -242,8 +242,8 @@ type Response struct {
 type job struct {
 	req      *core.WireRequest
 	funcs    []*ir.Func
-	tenant   string // admission tenant (X-Tenant header; "default" otherwise)
-	priority string // admission class ("", "low", "normal", "high")
+	tenant   string          // admission tenant (X-Tenant header; "default" otherwise)
+	priority string          // admission class ("", "low", "normal", "high")
 	ctx      context.Context // detached from the client connection; carries the request deadline
 	cancel   context.CancelFunc
 	fl       *flight

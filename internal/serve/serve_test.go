@@ -639,7 +639,15 @@ func TestEngineTimeoutNotCached(t *testing.T) {
 	} else if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 200-degraded or 504 (body %s)", resp.StatusCode, blob)
 	}
-	waitFor(t, "the wedged engine job to finish", func() bool { return s.Metrics().Batches == 1 })
+	// Batches counts a batch when it starts, so wait for the flight
+	// itself to complete: a follow-up that joins the still-running
+	// degraded flight shares its result, which is singleflight at work,
+	// not the cache leak this test looks for.
+	waitFor(t, "the wedged engine flight to complete", func() bool {
+		s.flightMu.Lock()
+		defer s.flightMu.Unlock()
+		return len(s.fg.inflight) == 0
+	})
 
 	out := mustOK(t, ts.URL, progenBody(t, 32, 0, 111))
 	if out.Degraded || out.Cached {
